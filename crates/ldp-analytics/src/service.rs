@@ -461,8 +461,9 @@ pub enum AckOutcome {
     /// The message failed validation and will fail identically if resent
     /// unchanged — a permanent rejection.
     Rejected,
-    /// The server's bounded queue shed the message before it touched any
-    /// state; retry after backoff.
+    /// The server shed the message (too many in flight, or storage could
+    /// not make it durable) before it touched any state; retry after
+    /// backoff.
     Overloaded,
 }
 
@@ -903,7 +904,7 @@ impl ReportService {
     }
 
     /// Counts one malformed rejection that happened *outside*
-    /// [`ReportService::serve`] — e.g. a transport absorber driving
+    /// [`ReportService::serve`] — e.g. a transport connection thread driving
     /// [`ReportService::handle`] directly — so snapshots keep accounting
     /// for every rejection regardless of which loop observed it.
     pub fn note_malformed(&mut self) {

@@ -5,12 +5,13 @@
 //! [`ResponseMessage`](crate::service::ResponseMessage)s out); this
 //! module defines *how it survives a real network*:
 //!
-//! * [`server`] — a [`ReportServer`]: per-connection reader threads
-//!   feeding one service-owning absorber through a **bounded** queue.
-//!   Backpressure is explicit (full queue ⇒ typed `Overloaded` shed, not
-//!   unbounded buffering), faults are connection-scoped (a hostile or
-//!   desynced client is dropped and counted, never poisons shared
-//!   state), and shutdown drains before it stops.
+//! * [`server`] — a [`ReportServer`]: per-connection threads applying
+//!   their messages to one service under one lock. Backpressure is
+//!   explicit (more than `queue_capacity` messages in flight ⇒ typed
+//!   `Overloaded` shed, not unbounded waiting), faults are
+//!   connection-scoped (a hostile or desynced client is dropped and
+//!   counted, never poisons shared state), and shutdown drains before it
+//!   stops.
 //! * [`client`] — a [`ReportClient`]: connect timeouts, seeded
 //!   exponential [`backoff`] with jitter, reconnect-with-`Hello`-replay,
 //!   and resend of unacknowledged submits. The server's privacy-budget
@@ -30,7 +31,7 @@
 //! wire, and each prescribes exactly one client reaction:
 //!
 //! * [`AckOutcome::Overloaded`](crate::service::AckOutcome::Overloaded)
-//!   — the server's bounded queue shed the submit **before** any
+//!   — the server's in-flight bound shed the submit **before** any
 //!   validation or ledger state was touched. Nothing was spent; the
 //!   client pauses on its [`Backoff`] schedule and resends on the *same*
 //!   connection.
@@ -92,8 +93,8 @@
 //! let epsilon = Epsilon::new(1.0)?;
 //! let specs = vec![AttrSpec::Numeric, AttrSpec::Categorical { k: 4 }];
 //!
-//! // Server: reader threads feed one service-owning absorber; here a
-//! // single in-process connection is served on a spawned thread.
+//! // Server: each connection thread applies its messages to the shared
+//! // service; here one in-process connection is served on a spawned thread.
 //! let server = ReportServer::start(ServerConfig::default());
 //! let (client_half, mut server_half) = duplex();
 //! let handle = server.handle();
@@ -128,7 +129,7 @@
 //!
 //! client.close();
 //! conn.join().expect("connection thread");
-//! let service = server.finish(); // drains the queue, returns the service
+//! let service = server.finish(); // waits for every handle, returns the service
 //! assert_eq!(service.snapshot_epoch(0)?.admitted, 10);
 //! # Ok::<(), LdpError>(())
 //! ```
@@ -262,15 +263,15 @@ mod tests {
 
     #[test]
     fn full_queue_sheds_with_overloaded_ack() {
-        // A capacity-1 server whose absorber is wedged behind a slow job
-        // is hard to arrange deterministically; instead, drive
-        // serve_stream against a handle whose queue is pre-filled and
-        // whose absorber never runs (receiver held alive but unread).
-        let (handle, _wedged_rx) = super::server::testutil::wedged_handle(1);
-        super::server::testutil::fill(&handle);
+        // A capacity-1 server whose one slot is held by a slow message is
+        // hard to arrange deterministically; instead, drive serve_stream
+        // against a handle whose only in-flight slot is already taken.
+        let handle = super::server::testutil::wedged_handle(1);
+        let _occupied = super::server::testutil::fill(&handle);
 
         let (mut client_half, mut server_half) = duplex();
-        let conn_thread = std::thread::spawn(move || handle.serve_stream(&mut server_half));
+        let conn = handle.clone();
+        let conn_thread = std::thread::spawn(move || conn.serve_stream(&mut server_half));
 
         WireMessage::Submit {
             user: 9,
@@ -296,6 +297,147 @@ mod tests {
         drop(client_half);
         let summary = conn_thread.join().unwrap();
         assert!(summary.fault.is_none(), "shedding is not a fault");
+    }
+
+    #[test]
+    fn in_flight_slots_return_after_every_exit() {
+        let server = ReportServer::start(ServerConfig {
+            service: ServiceConfig::default(),
+            queue_capacity: 1,
+        });
+        let handle = server.handle();
+        let serve = |mut stream: super::chaos::PipeStream| {
+            let conn = handle.clone();
+            std::thread::spawn(move || conn.serve_stream(&mut stream))
+        };
+        let mut scratch = Vec::new();
+
+        // A shed: the only slot is taken, so the submit bounces off it.
+        let occupied = super::server::testutil::fill(&handle);
+        let (mut client_half, server_half) = duplex();
+        let conn_thread = serve(server_half);
+        WireMessage::Submit {
+            user: 1,
+            epoch: 0,
+            block: 0,
+            report: report_bytes(1),
+        }
+        .write_to(&mut client_half)
+        .unwrap();
+        let resp = ResponseMessage::read_from(&mut client_half, &mut scratch)
+            .unwrap()
+            .expect("shed verdict");
+        assert!(matches!(
+            resp,
+            ResponseMessage::Ack {
+                outcome: AckOutcome::Overloaded,
+                ..
+            }
+        ));
+        assert_eq!(handle.in_flight(), 1, "the shed must return its own slot");
+        drop(occupied);
+        drop(client_half);
+        conn_thread.join().unwrap();
+        assert_eq!(handle.in_flight(), 0, "after a shed");
+
+        // A faulted connection: a hello, then a cut mid-frame.
+        let (mut client_half, server_half) = duplex();
+        let conn_thread = serve(server_half);
+        hello().write_to(&mut client_half).unwrap();
+        ResponseMessage::read_from(&mut client_half, &mut scratch)
+            .unwrap()
+            .expect("hello ack");
+        let frame = WireMessage::Submit {
+            user: 2,
+            epoch: 0,
+            block: 0,
+            report: report_bytes(2),
+        }
+        .to_frame()
+        .unwrap();
+        client_half.write_all(&frame[..frame.len() / 2]).unwrap();
+        drop(client_half);
+        assert!(conn_thread.join().unwrap().fault.is_some());
+        assert_eq!(handle.in_flight(), 0, "after a faulted connection");
+
+        // A clean close.
+        let (client_half, server_half) = duplex();
+        let conn_thread = serve(server_half);
+        let connector = QueueConnector {
+            streams: vec![client_half],
+        };
+        let mut client = ReportClient::new(connector, hello(), no_sleep_config()).unwrap();
+        for user in 3..6u64 {
+            assert_eq!(
+                client.submit(user, 0, 0, report_bytes(user)).unwrap(),
+                SubmitOutcome::Admitted
+            );
+        }
+        client.close();
+        assert!(conn_thread.join().unwrap().fault.is_none());
+        assert_eq!(handle.in_flight(), 0, "after a clean close");
+
+        drop(handle);
+        assert_eq!(server.finish().snapshot_epoch(0).unwrap().admitted, 3);
+    }
+
+    #[test]
+    fn finish_drains_outstanding_connections() {
+        let server = ReportServer::start(ServerConfig::default());
+        let (client_half, mut server_half) = duplex();
+        let handle = server.handle();
+        let conn_thread = std::thread::spawn(move || handle.serve_stream(&mut server_half));
+        let connector = QueueConnector {
+            streams: vec![client_half],
+        };
+        let mut client = ReportClient::new(connector, hello(), no_sleep_config()).unwrap();
+        let mut submit = |user: u64| {
+            let outcome = client.submit(user, 0, user / 8, report_bytes(user));
+            assert_eq!(outcome.unwrap(), SubmitOutcome::Admitted);
+        };
+        submit(0);
+
+        // `finish` is called while the connection is still serving...
+        let finisher = std::thread::spawn(move || server.finish());
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(
+            !finisher.is_finished(),
+            "finish must wait for the open connection"
+        );
+        // ...so everything that connection submits afterwards still lands.
+        for user in 1..20u64 {
+            submit(user);
+        }
+        client.close();
+        conn_thread.join().unwrap();
+        let service = finisher.join().unwrap();
+        assert_eq!(service.snapshot_epoch(0).unwrap().admitted, 20);
+    }
+
+    #[cfg(all(unix, feature = "net"))]
+    #[test]
+    fn unix_server_stats_count_every_submit() {
+        use super::net::unix::{UnixConnector, UnixReportServer};
+        use super::net::NetConfig;
+
+        let path = std::env::temp_dir().join(format!("ldp-uds-stats-{}.sock", std::process::id()));
+        let server = UnixReportServer::bind(&path, ServerConfig::default(), NetConfig::default())
+            .expect("bind unix socket");
+        let stats = server.stats();
+        let connector = UnixConnector::new(server.path());
+        let mut client = ReportClient::new(connector, hello(), no_sleep_config()).unwrap();
+        for user in 0..12u64 {
+            assert_eq!(
+                client.submit(user, 0, 0, report_bytes(user)).unwrap(),
+                SubmitOutcome::Admitted
+            );
+        }
+        client.close();
+        let (service, summaries) = server.finish();
+        let admitted = service.snapshot_epoch(0).unwrap().admitted;
+        assert_eq!(admitted, 12);
+        assert_eq!(stats.submits(), admitted);
+        assert_eq!(stats.connections(), summaries.len() as u64);
     }
 
     #[test]

@@ -81,9 +81,8 @@ impl TcpReportServer {
         self.server.stats()
     }
 
-    /// Stops accepting, joins every connection thread, drains the queue,
-    /// and returns the absorbed service with all per-connection
-    /// summaries.
+    /// Stops accepting, joins every connection thread, and returns the
+    /// service with all per-connection summaries.
     ///
     /// In-flight connections are served to completion (EOF, `Shutdown`,
     /// or the [`NetConfig::io_timeout`] drain bound), never cut off.
@@ -125,8 +124,8 @@ fn spawn_accept_loop(
             let conn = handle.clone();
             workers.push(thread::spawn(move || conn.serve_stream(&mut stream)));
         }
-        // Drop our handle before joining so only live connections keep
-        // the absorber running.
+        // Drop our handle before joining so that, once the workers are
+        // joined, no handle keeps `ReportServer::finish` waiting.
         drop(handle);
         workers
             .into_iter()
@@ -214,6 +213,11 @@ pub mod unix {
         /// The socket path this server listens on.
         pub fn path(&self) -> &Path {
             &self.path
+        }
+
+        /// The underlying server's transport counters.
+        pub fn stats(&self) -> Arc<TransportStats> {
+            self.server.stats()
         }
 
         /// As [`TcpReportServer::finish`], plus removal of the socket

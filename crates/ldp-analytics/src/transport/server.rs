@@ -1,40 +1,37 @@
-//! The server half of the transport: connection threads feeding one
-//! [`ReportService`] through a bounded queue.
+//! The server half of the transport: connection threads applying their
+//! messages to one [`ReportService`] under one lock.
 //!
 //! ## Architecture
 //!
-//! One *absorber* thread owns the [`ReportService`] outright — no locks,
-//! no shared mutable aggregate state. Every connection runs
-//! [`ConnHandle::serve_stream`] on its own thread, decoding frames and
-//! pushing [`WireMessage`]s into a bounded `sync_channel`. The bound is
-//! the backpressure contract: when the absorber falls behind, `try_send`
-//! fails immediately and the connection *sheds* the message with an
-//! [`AckOutcome::Overloaded`] verdict instead of queueing unboundedly —
-//! the client backs off and retries, and the privacy-budget ledger makes
-//! that retry idempotent.
+//! Every [`ConnHandle`] shares one `Mutex` around the [`ReportService`].
+//! Each connection runs [`ConnHandle::serve_stream`] on its own thread,
+//! applying its decoded [`WireMessage`]s under the lock in arrival order
+//! and writing each verdict back itself. Backpressure is a count of
+//! messages in flight: past [`ServerConfig::queue_capacity`], a message is
+//! *shed* with an [`AckOutcome::Overloaded`] verdict before any state is
+//! touched — the client backs off and retries, and the privacy-budget
+//! ledger makes that retry idempotent.
 //!
 //! ## Fault isolation
 //!
 //! A desynced, hostile, or vanished client kills only its own connection:
 //! the fault is recorded in that connection's [`ConnSummary`] and counted
-//! in [`TransportStats`], while the absorber — and every other connection
+//! in [`TransportStats`], while the service — and every other connection
 //! — keeps running. Checksum-corrupt frames keep the reader synchronized
 //! (see [`ldp_core::frame::read_frame`]), so they earn a
 //! [`ResponseMessage::Resend`] rather than a disconnect.
 //!
 //! ## Shutdown
 //!
-//! [`ReportServer::finish`] drops the server's own queue handle and joins
-//! the absorber, which drains every message already queued before
-//! returning the service — drain-then-stop, never drop-on-stop. The
-//! absorber exits when the last [`ConnHandle`] clone is gone, so join
-//! connection threads (or drop their handles) first.
+//! [`ReportServer::finish`] waits for the last [`ConnHandle`] clone to
+//! drop, then returns the service — drain-then-stop, never drop-on-stop.
+//! Join connection threads (or drop their handles) first.
 
+use std::convert::Infallible;
 use std::io::{Read, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
-use std::thread::{self, JoinHandle};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 
 use ldp_core::frame::{self, FrameRead, FRAME_HEADER_BYTES};
 use ldp_core::Result;
@@ -50,9 +47,9 @@ use crate::service::{
 pub struct ServerConfig {
     /// Configuration for the owned [`ReportService`].
     pub service: ServiceConfig,
-    /// Bound of the connection→absorber queue. Messages arriving while
-    /// the queue is full are shed with [`AckOutcome::Overloaded`]; they
-    /// never wait unboundedly and never touch service state.
+    /// Messages allowed to wait for the service lock or be applied under
+    /// it at once. One arriving past this bound is shed with
+    /// [`AckOutcome::Overloaded`]; it never touches service state.
     pub queue_capacity: usize,
 }
 
@@ -65,8 +62,8 @@ impl Default for ServerConfig {
     }
 }
 
-/// Shared transport counters, updated by connection threads and the
-/// absorber. All loads are `Relaxed`: the counters are monotone telemetry,
+/// Shared transport counters, updated by the connection threads. All
+/// loads are `Relaxed`: the counters are monotone telemetry,
 /// not synchronization.
 #[derive(Debug, Default)]
 pub struct TransportStats {
@@ -102,13 +99,13 @@ impl TransportStats {
         self.malformed_messages.load(Ordering::Relaxed)
     }
 
-    /// Messages shed because the bounded queue was full.
+    /// Messages shed because `queue_capacity` messages were in flight.
     pub fn shed(&self) -> u64 {
         self.shed.load(Ordering::Relaxed)
     }
 
-    /// Submit messages that reached the absorber (each earns exactly one
-    /// admitted / duplicate / rejected verdict from the service).
+    /// Submit messages that reached the service (each earns exactly one
+    /// admitted / duplicate / rejected / storage-shed verdict).
     pub fn submits(&self) -> u64 {
         self.submits.load(Ordering::Relaxed)
     }
@@ -122,27 +119,11 @@ impl TransportStats {
     }
 
     /// Crashes injected by a [`crate::durable::CrashSchedule`] that the
-    /// absorber observed (the transport-side mirror of
+    /// server observed (the transport-side mirror of
     /// [`crate::transport::FaultCounts::crashes`]).
     pub fn injected_crashes(&self) -> u64 {
         self.injected_crashes.load(Ordering::Relaxed)
     }
-}
-
-/// What the absorber should do with one queued message.
-enum JobKind {
-    /// A decoded message for [`ReportService::handle`].
-    Msg(WireMessage),
-    /// A frame that verified its checksum but failed message decoding —
-    /// counted by the service (not just the transport) so snapshot
-    /// counters match a direct [`ReportService::serve`] run.
-    Malformed,
-}
-
-/// One unit of absorber work plus the channel its verdict returns on.
-pub(crate) struct Job {
-    kind: JobKind,
-    reply: mpsc::Sender<ResponseMessage>,
 }
 
 /// How one connection's [`ConnHandle::serve_stream`] call ended.
@@ -165,24 +146,57 @@ pub struct ConnSummary {
 
 /// A cloneable per-connection handle into a running [`ReportServer`].
 ///
-/// Cheap to clone (a queue sender and a stats handle); the absorber stays
-/// alive as long as any clone exists.
+/// Cheap to clone (two reference counts); [`ReportServer::finish`] waits
+/// until every clone is gone.
 #[derive(Debug, Clone)]
 pub struct ConnHandle {
-    tx: mpsc::SyncSender<Job>,
+    shared: Arc<Shared>,
+    /// Never sent on: `finish` waits for the last clone to drop. Declared
+    /// after `shared`, so a dropping handle releases the service first.
+    _alive: mpsc::Sender<Infallible>,
+}
+
+/// The state every [`ConnHandle`] of one server shares.
+#[derive(Debug)]
+struct Shared {
+    backend: Mutex<Backend>,
     stats: Arc<TransportStats>,
+    /// Messages waiting for the lock or applied under it. `Relaxed`: the
+    /// count publishes no data, the lock does.
+    in_flight: AtomicUsize,
     queue_capacity: usize,
 }
 
+impl Shared {
+    /// Takes an in-flight slot, or `None` when `queue_capacity` are taken.
+    fn slot(&self) -> Option<InFlight<'_>> {
+        let prior = self.in_flight.fetch_add(1, Ordering::Relaxed);
+        // Built before the check, so the shed path returns its increment too.
+        let slot = InFlight(&self.in_flight);
+        (prior < self.queue_capacity).then_some(slot)
+    }
+}
+
+/// One in-flight slot, released on drop — so a panic under the service
+/// lock cannot leak it and shrink the server's capacity for good.
+pub(crate) struct InFlight<'a>(&'a AtomicUsize);
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
 impl ConnHandle {
-    /// Serves one client stream to completion: reads frames, queues
+    /// Serves one client stream to completion: reads frames, applies
     /// messages, writes one response frame per request, in order.
     ///
     /// Every exit path is accounted: clean EOF, client `Shutdown`, a
     /// transport fault (recorded in the summary, counted in the stats),
-    /// or server shutdown (queue closed). Never panics on hostile input.
+    /// or a poisoned service lock. Never panics on hostile input.
     pub fn serve_stream<S: Read + Write + ?Sized>(&self, stream: &mut S) -> ConnSummary {
-        self.stats.connections.fetch_add(1, Ordering::Relaxed);
+        let stats = &self.shared.stats;
+        stats.connections.fetch_add(1, Ordering::Relaxed);
         let mut summary = ConnSummary::default();
         let mut payload = Vec::new();
         let mut offset = 0u64;
@@ -204,7 +218,7 @@ impl ConnHandle {
                     offset += (FRAME_HEADER_BYTES + payload.len()) as u64;
                     summary.frames += 1;
                     summary.corrupt_frames += 1;
-                    self.stats.corrupt_frames.fetch_add(1, Ordering::Relaxed);
+                    stats.corrupt_frames.fetch_add(1, Ordering::Relaxed);
                     // Reader is still synchronized: ask for the frame
                     // again instead of dropping the connection.
                     if let Err(error) = ResponseMessage::Resend.write_to(stream) {
@@ -221,47 +235,21 @@ impl ConnHandle {
             };
             offset += (FRAME_HEADER_BYTES + payload.len()) as u64;
             summary.frames += 1;
-            let job_kind = match WireMessage::decode(kind, &payload) {
+            let msg = match WireMessage::decode(kind, &payload) {
                 Ok(WireMessage::Shutdown) => {
                     // Connection-scoped: this client is done, the server
                     // and every other connection keep running.
                     summary.shutdown = true;
                     break;
                 }
-                Ok(msg) => JobKind::Msg(msg),
+                Ok(msg) => Some(msg),
                 Err(_) => {
-                    self.stats
-                        .malformed_messages
-                        .fetch_add(1, Ordering::Relaxed);
-                    JobKind::Malformed
+                    stats.malformed_messages.fetch_add(1, Ordering::Relaxed);
+                    None
                 }
             };
-            let echo = match &job_kind {
-                JobKind::Msg(WireMessage::Submit { user, epoch, .. }) => (*user, *epoch),
-                _ => (0, 0),
-            };
-            let (reply_tx, reply_rx) = mpsc::channel();
-            let response = match self.tx.try_send(Job {
-                kind: job_kind,
-                reply: reply_tx,
-            }) {
-                Ok(()) => match reply_rx.recv() {
-                    Ok(response) => response,
-                    // Absorber gone mid-job: server is shutting down.
-                    Err(mpsc::RecvError) => break,
-                },
-                Err(mpsc::TrySendError::Full(_)) => {
-                    // Backpressure: shed before any state is touched and
-                    // tell the client to back off. The ledger makes the
-                    // eventual retry idempotent.
-                    self.stats.shed.fetch_add(1, Ordering::Relaxed);
-                    ResponseMessage::Ack {
-                        user: echo.0,
-                        epoch: echo.1,
-                        outcome: AckOutcome::Overloaded,
-                    }
-                }
-                Err(mpsc::TrySendError::Disconnected(_)) => break,
+            let Some(response) = self.apply(msg.as_ref()) else {
+                break;
             };
             if let Err(error) = response.write_to(stream) {
                 // The verdict may already be applied server-side; the
@@ -276,20 +264,59 @@ impl ConnHandle {
             summary.responded += 1;
         }
         if summary.fault.is_some() {
-            self.stats
-                .faulted_connections
-                .fetch_add(1, Ordering::Relaxed);
+            stats.faulted_connections.fetch_add(1, Ordering::Relaxed);
         }
         summary
     }
 
-    /// The queue bound this handle sheds against.
+    /// Renders one message's verdict under the service lock, or sheds it.
+    /// `msg` is `None` for a verified frame that failed to decode; the
+    /// result is `None` when a panicking connection poisoned the lock.
+    fn apply(&self, msg: Option<&WireMessage>) -> Option<ResponseMessage> {
+        let shared = &*self.shared;
+        let Some(_slot) = shared.slot() else {
+            // Backpressure: shed before any state is touched. The ledger
+            // makes the client's eventual retry idempotent.
+            shared.stats.shed.fetch_add(1, Ordering::Relaxed);
+            let (user, epoch) = match msg {
+                Some(WireMessage::Submit { user, epoch, .. }) => (*user, *epoch),
+                _ => (0, 0),
+            };
+            return Some(ResponseMessage::Ack {
+                user,
+                epoch,
+                outcome: AckOutcome::Overloaded,
+            });
+        };
+        let mut backend = shared.backend.lock().ok()?;
+        Some(match msg {
+            Some(msg) => verdict(&mut backend, &shared.stats, msg),
+            None => {
+                // Counted by the service (not just the transport) so
+                // snapshot counters match a direct `ReportService::serve`.
+                backend.note_malformed();
+                ResponseMessage::Ack {
+                    user: 0,
+                    epoch: 0,
+                    outcome: AckOutcome::Rejected,
+                }
+            }
+        })
+    }
+
+    /// The in-flight bound this handle sheds against.
     pub fn queue_capacity(&self) -> usize {
-        self.queue_capacity
+        self.shared.queue_capacity
+    }
+
+    /// Messages currently in flight at the service.
+    #[cfg(test)]
+    pub(crate) fn in_flight(&self) -> usize {
+        self.shared.in_flight.load(Ordering::Relaxed)
     }
 }
 
-/// The state the absorber owns: a bare service, or one behind the
+/// The state behind the service lock: a bare service, or one behind the
 /// write-ahead log when the server was started durable.
 #[derive(Debug)]
 enum Backend {
@@ -329,22 +356,23 @@ impl Backend {
     }
 }
 
-/// A running report server: one absorber thread owning a
-/// [`ReportService`], fed by any number of [`ConnHandle`]s.
+/// A running report server: a [`ReportService`] behind one lock, applied
+/// to by any number of [`ConnHandle`]s.
 #[derive(Debug)]
 pub struct ReportServer {
     handle: ConnHandle,
-    absorber: JoinHandle<Backend>,
+    /// Fails its `recv` once every [`ConnHandle`] clone is dropped.
+    gone: mpsc::Receiver<Infallible>,
 }
 
 impl ReportServer {
-    /// Starts the absorber thread around a fresh service.
+    /// Starts a server around a fresh service.
     pub fn start(config: ServerConfig) -> Self {
         let service = ReportService::new(config.service.clone());
         Self::start_backend(&config, Backend::Plain(Box::new(service)))
     }
 
-    /// Starts the absorber around a [`DurableService`] on `dir`: recovery
+    /// Starts a server around a [`DurableService`] on `dir`: recovery
     /// runs first (the returned [`RecoveryReport`] says what it rebuilt),
     /// and from then on every `Admitted` ack is sent only after the
     /// submit's WAL record is as durable as `durable.fsync` promises. A
@@ -370,18 +398,19 @@ impl ReportServer {
     }
 
     fn start_backend(config: &ServerConfig, backend: Backend) -> Self {
-        let capacity = config.queue_capacity.max(1);
-        let (tx, rx) = mpsc::sync_channel::<Job>(capacity);
-        let stats = Arc::new(TransportStats::default());
-        let absorber_stats = Arc::clone(&stats);
-        let absorber = thread::spawn(move || absorb(rx, backend, &absorber_stats));
+        let (alive, gone) = mpsc::channel();
+        let shared = Shared {
+            backend: Mutex::new(backend),
+            stats: Arc::default(),
+            in_flight: AtomicUsize::new(0),
+            queue_capacity: config.queue_capacity.max(1),
+        };
         ReportServer {
             handle: ConnHandle {
-                tx,
-                stats,
-                queue_capacity: capacity,
+                shared: Arc::new(shared),
+                _alive: alive,
             },
-            absorber,
+            gone,
         }
     }
 
@@ -392,21 +421,25 @@ impl ReportServer {
 
     /// The server's shared transport counters.
     pub fn stats(&self) -> Arc<TransportStats> {
-        Arc::clone(&self.handle.stats)
+        Arc::clone(&self.handle.shared.stats)
     }
 
     /// Graceful drain-then-stop: waits for every outstanding
-    /// [`ConnHandle`] to drop, lets the absorber drain the queue, and
-    /// returns the service with all absorbed state.
+    /// [`ConnHandle`] to drop, then returns the service with every message
+    /// the connections applied. Panics if a connection thread panicked
+    /// while applying a message.
     ///
     /// Blocks until all connection handles are gone — join connection
     /// threads before calling.
     pub fn finish(self) -> ReportService {
-        let ReportServer { handle, absorber } = self;
-        drop(handle);
-        absorber
-            .join()
-            .expect("absorber thread panicked")
+        let shared = Arc::clone(&self.handle.shared);
+        drop(self.handle);
+        let Err(mpsc::RecvError) = self.gone.recv();
+        Arc::try_unwrap(shared)
+            .expect("every connection handle is dropped")
+            .backend
+            .into_inner()
+            .expect("a connection thread panicked while applying a message")
             .into_service()
     }
 }
@@ -420,28 +453,6 @@ fn storage_shed(stats: &TransportStats, error: &ldp_core::LdpError) {
     if durable::is_injected_crash(error) {
         stats.injected_crashes.fetch_add(1, Ordering::Relaxed);
     }
-}
-
-/// The absorber loop: single-threaded ownership of the backend, one
-/// verdict per job, exits when every sender is gone.
-fn absorb(rx: mpsc::Receiver<Job>, mut backend: Backend, stats: &TransportStats) -> Backend {
-    while let Ok(job) = rx.recv() {
-        let response = match job.kind {
-            JobKind::Malformed => {
-                backend.note_malformed();
-                ResponseMessage::Ack {
-                    user: 0,
-                    epoch: 0,
-                    outcome: AckOutcome::Rejected,
-                }
-            }
-            JobKind::Msg(msg) => verdict(&mut backend, stats, &msg),
-        };
-        // A vanished connection cannot receive its verdict; the state
-        // change (if any) stands and the ledger covers the client's retry.
-        let _ = job.reply.send(response);
-    }
-    backend
 }
 
 /// Applies one message to the backend and renders the wire verdict.
@@ -514,7 +525,7 @@ fn verdict(backend: &mut Backend, stats: &TransportStats, msg: &WireMessage) -> 
                 }
             }
         },
-        // Shutdown is handled connection-side and never queued.
+        // Shutdown is handled connection-side and never applied.
         WireMessage::Shutdown => ResponseMessage::Ack {
             user: 0,
             epoch: 0,
@@ -523,36 +534,23 @@ fn verdict(backend: &mut Backend, stats: &TransportStats, msg: &WireMessage) -> 
     }
 }
 
-/// Test-only plumbing: handles over wedged queues, for exercising the
-/// shedding path without racing a live absorber.
+/// Test-only plumbing: handles with occupied in-flight slots, for
+/// exercising the shedding path without racing a live connection.
 #[cfg(test)]
 pub(crate) mod testutil {
     use super::*;
 
-    /// A [`ConnHandle`] whose queue has no absorber; the returned
-    /// receiver must stay alive for `try_send` to report `Full` (rather
-    /// than `Disconnected`).
-    pub(crate) fn wedged_handle(capacity: usize) -> (ConnHandle, mpsc::Receiver<Job>) {
-        let (tx, rx) = mpsc::sync_channel(capacity);
-        (
-            ConnHandle {
-                tx,
-                stats: Arc::new(TransportStats::default()),
-                queue_capacity: capacity,
-            },
-            rx,
-        )
+    /// A [`ConnHandle`] into a fresh, never-finished server.
+    pub(crate) fn wedged_handle(queue_capacity: usize) -> ConnHandle {
+        ReportServer::start(ServerConfig {
+            queue_capacity,
+            ..ServerConfig::default()
+        })
+        .handle()
     }
 
-    /// Occupies one queue slot with a job nobody will answer.
-    pub(crate) fn fill(handle: &ConnHandle) {
-        let (reply, _discarded) = mpsc::channel();
-        handle
-            .tx
-            .try_send(Job {
-                kind: JobKind::Msg(WireMessage::FlushEpoch { epoch: 0 }),
-                reply,
-            })
-            .expect("queue must have a free slot to fill");
+    /// Occupies one in-flight slot until the returned guard drops.
+    pub(crate) fn fill(handle: &ConnHandle) -> InFlight<'_> {
+        handle.shared.slot().expect("a free slot to fill")
     }
 }

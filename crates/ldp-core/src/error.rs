@@ -125,11 +125,12 @@ pub enum LdpError {
         /// [`source`](std::error::Error::source)).
         cause: IoFault,
     },
-    /// A bounded transport queue was full, so the message was shed before
-    /// touching any service state. Retryable after backoff — shedding is
-    /// how the server protects itself, not a verdict on the message.
+    /// The transport's bound on in-flight messages was reached, so the
+    /// message was shed before touching any service state. Retryable after
+    /// backoff — shedding is how the server protects itself, not a verdict
+    /// on the message.
     Overloaded {
-        /// Capacity of the queue that shed the message; `0` when the far
+        /// The in-flight bound that shed the message; `0` when the far
         /// end reported overload without disclosing its capacity.
         capacity: usize,
     },
@@ -211,7 +212,7 @@ impl fmt::Display for LdpError {
                 if *capacity > 0 {
                     write!(
                         f,
-                        "transport overloaded: bounded queue at capacity {capacity}; \
+                        "transport overloaded: {capacity} messages in flight; \
                          retry after backoff"
                     )
                 } else {

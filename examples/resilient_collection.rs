@@ -10,7 +10,8 @@
 //! The moving parts:
 //!
 //! * a [`TcpReportServer`] on `127.0.0.1:0` — per-connection threads
-//!   behind a bounded backpressure queue feeding one `ReportService`;
+//!   applying their reports to one shared `ReportService`, shedding past
+//!   a bound on in-flight messages;
 //! * two client threads, each dialing through a [`ChaosStream`] that
 //!   kills the connection mid-frame on a seeded schedule;
 //! * every lost ack is resolved by resending: the privacy-budget ledger

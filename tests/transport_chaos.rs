@@ -15,7 +15,7 @@
 //! * estimates are bit-identical to the clean run (ordinal-keyed merges
 //!   make them independent of delivery order and client count);
 //! * the ledger accounts for every resend: submits that reached the
-//!   absorber = admitted + rejected duplicates, so lost acks never
+//!   service = admitted + rejected duplicates, so lost acks never
 //!   double-spend budget.
 
 use std::thread;
@@ -262,7 +262,7 @@ fn chaos_run_is_bit_identical_to_clean_run_across_seeds() {
         assert_bit_identical(&chaos.result, &clean, &format!("seed {seed}"));
 
         // At-most-once budget spend: every submit that reached the
-        // absorber is accounted as exactly one admission or one counted
+        // service is accounted as exactly one admission or one counted
         // duplicate — resends never double-spend.
         assert_eq!(
             chaos.submits_reaching_absorber,
@@ -290,8 +290,9 @@ fn chaos_run_is_bit_identical_to_clean_run_across_seeds() {
     }
 }
 
-/// Reconnect storms against a tiny queue: shedding (`Overloaded` acks)
-/// may slow clients down but never loses or double-counts a report.
+/// Reconnect storms against a one-message in-flight bound: shedding
+/// (`Overloaded` acks) may slow clients down but never loses or
+/// double-counts a report.
 #[test]
 fn tiny_queue_backpressure_is_lossless() {
     let seed = 99u64;
@@ -322,9 +323,9 @@ fn tiny_queue_backpressure_is_lossless() {
                 let config = ClientConfig {
                     max_attempts: 512,
                     max_resends: 8,
-                    // Real (if tiny) backoff: against a capacity-1 queue,
+                    // Real (if tiny) backoff: against a capacity-1 bound,
                     // zero-delay retries could livelock three hammering
-                    // clients; the jittered pause lets the absorber drain.
+                    // clients; the jittered pause lets the holder finish.
                     backoff_base: Duration::from_micros(50),
                     backoff_cap: Duration::from_millis(2),
                     backoff_seed: seed ^ client_idx,
