@@ -23,7 +23,8 @@
 //!   prove the property that matters: a chaos-ridden run's merged
 //!   snapshot is *bit-identical* to a clean run's.
 //! * [`net`] (feature `net`, on by default) — `std::net` TCP and Unix
-//!   domain socket shells over the stream-agnostic core.
+//!   domain socket shells over the stream-agnostic core, sharing one
+//!   accept loop that reuses idle connection threads.
 //!
 //! ## Verdicts and the retry contract
 //!
@@ -176,7 +177,7 @@ mod tests {
         }
     }
 
-    fn hello() -> WireMessage {
+    pub(super) fn hello() -> WireMessage {
         WireMessage::Hello {
             protocol: protocol(),
             epsilon: Epsilon::new(1.0).unwrap(),
@@ -185,7 +186,7 @@ mod tests {
         }
     }
 
-    fn report_bytes(user: u64) -> Vec<u8> {
+    pub(super) fn report_bytes(user: u64) -> Vec<u8> {
         let encoder = ClientEncoder::new(protocol(), Epsilon::new(1.0).unwrap(), specs()).unwrap();
         let mut rng = seeded_rng(user ^ 0xD1CE);
         let record = vec![AttrValue::Numeric(0.25), AttrValue::Categorical(1)];
@@ -212,7 +213,7 @@ mod tests {
         }
     }
 
-    fn no_sleep_config() -> ClientConfig {
+    pub(super) fn no_sleep_config() -> ClientConfig {
         ClientConfig {
             max_attempts: 8,
             max_resends: 8,

@@ -75,6 +75,8 @@ pub struct TransportStats {
     submits: AtomicU64,
     storage_sheds: AtomicU64,
     injected_crashes: AtomicU64,
+    accept_errors: AtomicU64,
+    connection_threads: AtomicU64,
 }
 
 impl TransportStats {
@@ -123,6 +125,28 @@ impl TransportStats {
     /// [`crate::transport::FaultCounts::crashes`]).
     pub fn injected_crashes(&self) -> u64 {
         self.injected_crashes.load(Ordering::Relaxed)
+    }
+
+    /// Failed `accept` calls on a socket server's listener (each one
+    /// followed by a short pause, so a persistent error such as `EMFILE`
+    /// cannot spin a core).
+    pub fn accept_errors(&self) -> u64 {
+        self.accept_errors.load(Ordering::Relaxed)
+    }
+
+    /// Connection threads a socket server spawned. Threads are reused
+    /// across connections, so this tracks peak concurrency, not
+    /// [`TransportStats::connections`].
+    pub fn connection_threads(&self) -> u64 {
+        self.connection_threads.load(Ordering::Relaxed)
+    }
+
+    pub(crate) fn note_accept_error(&self) {
+        self.accept_errors.fetch_add(1, Ordering::Relaxed);
+    }
+
+    pub(crate) fn note_connection_thread(&self) {
+        self.connection_threads.fetch_add(1, Ordering::Relaxed);
     }
 }
 

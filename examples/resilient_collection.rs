@@ -9,9 +9,10 @@
 //!
 //! The moving parts:
 //!
-//! * a [`TcpReportServer`] on `127.0.0.1:0` — per-connection threads
-//!   applying their reports to one shared `ReportService`, shedding past
-//!   a bound on in-flight messages;
+//! * a [`TcpReportServer`] on `127.0.0.1:0` — its accept loop hands
+//!   each connection (including every reconnect) to an idle, reused
+//!   connection thread, which applies that connection's reports to one
+//!   shared `ReportService`, shedding past a bound on in-flight messages;
 //! * two client threads, each dialing through a [`ChaosStream`] that
 //!   kills the connection mid-frame on a seeded schedule;
 //! * every lost ack is resolved by resending: the privacy-budget ledger
