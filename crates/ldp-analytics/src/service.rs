@@ -122,13 +122,14 @@
 use crate::ledger::BudgetLedger;
 use crate::pipeline::{self, CollectionResult, Protocol};
 use crate::session::{Aggregator, CompositionReport, Report};
-use ldp_core::frame::{self, FrameRead};
+use ldp_core::frame::{self, FrameRead, FRAME_HEADER_BYTES};
 use ldp_core::multidim::wire::{self, BitReader, BitWriter, WireFormat};
 use ldp_core::multidim::AttrSpec;
 use ldp_core::{Epsilon, LdpError, NumericKind, OracleKind, Result};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{Read, Write};
+use std::ops::ControlFlow;
 
 /// Frame kind of [`WireMessage::Hello`].
 pub const KIND_HELLO: u8 = 1;
@@ -427,25 +428,6 @@ impl WireMessage {
             other => Err(malformed(format!("unknown message kind {other}"))),
         }
     }
-
-    /// Reads and decodes the next message from `r`.
-    ///
-    /// `Ok(None)` on clean end of stream. A checksum-corrupt frame is
-    /// reported as a [`LdpError::MalformedFrame`] here — callers that want
-    /// to count-and-continue (as [`ReportService::serve`] does) should use
-    /// [`ldp_core::frame::read_frame`] directly to keep the distinction.
-    pub fn read_from<R: Read + ?Sized>(
-        r: &mut R,
-        scratch: &mut Vec<u8>,
-    ) -> Result<Option<WireMessage>> {
-        match frame::read_frame(r, scratch)? {
-            None => Ok(None),
-            Some(FrameRead::Valid { kind }) => WireMessage::decode(kind, scratch).map(Some),
-            Some(FrameRead::Corrupt { declared, computed }) => Err(malformed(format!(
-                "frame checksum mismatch: declared {declared:#018x}, computed {computed:#018x}"
-            ))),
-        }
-    }
 }
 
 /// Verdict a server attaches to one client message — the payload of
@@ -706,18 +688,12 @@ pub struct ServiceConfig {
     /// Key for the ledger's user-id hashing; every shard of one logical
     /// service must share it (see [`BudgetLedger::with_key`]).
     pub ledger_key: u64,
-    /// Timer-tick snapshots: after every `n` admitted reports, the serve
-    /// loop snapshots the epoch the `n`-th report landed in — the
-    /// streaming analogue of a periodic flush. `None` snapshots only on
-    /// explicit [`WireMessage::FlushEpoch`].
-    pub snapshot_every: Option<u64>,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             ledger_key: 0x1cde_2019,
-            snapshot_every: None,
         }
     }
 }
@@ -792,8 +768,8 @@ pub struct ServeSummary {
     pub rejected_duplicates: u64,
     /// Frames or messages rejected as malformed.
     pub rejected_malformed: u64,
-    /// Snapshots taken during this call (explicit flushes and timer
-    /// ticks), in stream order.
+    /// Snapshots taken during this call (one per `FlushEpoch`), in stream
+    /// order.
     pub snapshots: Vec<EpochSnapshot>,
     /// True when the stream ended with [`WireMessage::Shutdown`] rather
     /// than EOF.
@@ -864,7 +840,6 @@ pub struct ReportService {
     ledger: BudgetLedger,
     frames: u64,
     rejected_malformed: u64,
-    admitted_since_tick: u64,
 }
 
 impl ReportService {
@@ -879,7 +854,6 @@ impl ReportService {
             ledger,
             frames: 0,
             rejected_malformed: 0,
-            admitted_since_tick: 0,
         }
     }
 
@@ -1014,7 +988,6 @@ impl ReportService {
         agg.set_ordinal(block);
         agg.absorb(&report)
             .expect("validated above; absorb re-checks the same invariants");
-        self.admitted_since_tick += 1;
         Ok(())
     }
 
@@ -1050,77 +1023,36 @@ impl ReportService {
     /// (see [`ldp_core::frame::read_frame`]), so they count as malformed
     /// and serving continues.
     pub fn serve<R: Read + ?Sized>(&mut self, r: &mut R) -> Result<ServeSummary> {
-        let mut r = CountingReader {
-            inner: r,
-            consumed: 0,
-        };
         let mut summary = ServeSummary::default();
-        let mut payload = Vec::new();
-        loop {
-            let frame_start = r.consumed;
-            let read = match frame::read_frame(&mut r, &mut payload) {
-                Ok(read) => read,
-                Err(error) => {
-                    summary.desync = Some(StreamFault {
-                        offset: frame_start,
-                        error,
-                    });
-                    break;
-                }
-            };
-            let kind = match read {
-                None => break,
-                Some(FrameRead::Corrupt { .. }) => {
-                    self.frames += 1;
-                    summary.frames += 1;
-                    self.rejected_malformed += 1;
-                    summary.rejected_malformed += 1;
-                    continue;
-                }
-                Some(FrameRead::Valid { kind }) => kind,
-            };
-            self.frames += 1;
-            summary.frames += 1;
-            let msg = match WireMessage::decode(kind, &payload) {
-                Ok(msg) => msg,
-                Err(_) => {
-                    self.rejected_malformed += 1;
-                    summary.rejected_malformed += 1;
-                    continue;
-                }
-            };
-            if matches!(msg, WireMessage::Shutdown) {
-                summary.shutdown = true;
-                break;
-            }
-            let is_submit = matches!(msg, WireMessage::Submit { .. });
-            let submit_epoch = match &msg {
-                WireMessage::Submit { epoch, .. } => *epoch,
-                _ => 0,
-            };
-            match self.handle(&msg) {
-                Ok(Some(snapshot)) => summary.snapshots.push(snapshot),
-                Ok(None) => {
-                    if is_submit {
-                        summary.admitted += 1;
-                        if let Some(every) = self.config.snapshot_every {
-                            if self.admitted_since_tick >= every {
-                                self.admitted_since_tick = 0;
-                                summary.snapshots.push(self.snapshot_epoch(submit_epoch)?);
-                            }
-                        }
+        let end = read_messages(r, |_, inbound| {
+            let malformed = match inbound {
+                Inbound::Message(msg) => match self.handle(&msg) {
+                    Ok(snapshot) => {
+                        summary.snapshots.extend(snapshot);
+                        summary.admitted += u64::from(matches!(msg, WireMessage::Submit { .. }));
+                        false
                     }
-                }
-                Err(LdpError::DuplicateReport { .. }) => {
-                    // The ledger already counted it against the epoch.
-                    summary.rejected_duplicates += 1;
-                }
-                Err(_) => {
-                    self.rejected_malformed += 1;
-                    summary.rejected_malformed += 1;
-                }
+                    Err(LdpError::DuplicateReport { .. }) => {
+                        // The ledger already counted it against the epoch.
+                        summary.rejected_duplicates += 1;
+                        false
+                    }
+                    Err(_) => true,
+                },
+                // No one here can be asked to resend a corrupt frame, so it
+                // is lost: malformed, like a frame that failed to decode.
+                Inbound::Corrupt | Inbound::Undecodable => true,
+            };
+            if malformed {
+                self.rejected_malformed += 1;
+                summary.rejected_malformed += 1;
             }
-        }
+            Ok(ControlFlow::Continue(()))
+        });
+        self.frames += end.frames;
+        summary.frames = end.frames;
+        summary.shutdown = end.shutdown;
+        summary.desync = end.fault;
         Ok(summary)
     }
 
@@ -1254,19 +1186,71 @@ impl ReportService {
     }
 }
 
-/// Counts bytes as they pass to the framer, so a desync can be reported
-/// with the exact stream offset of the offending frame.
-struct CountingReader<'a, R: Read + ?Sized> {
-    inner: &'a mut R,
-    consumed: u64,
+/// One inbound frame as [`read_messages`] classifies it.
+pub(crate) enum Inbound {
+    /// Failed its checksum. The reader is still synchronized.
+    Corrupt,
+    /// Verified, but failed to decode as a [`WireMessage`].
+    Undecodable,
+    /// A decoded message other than `Shutdown`, which ends the loop.
+    Message(WireMessage),
 }
 
-impl<R: Read + ?Sized> Read for CountingReader<'_, R> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.consumed += n as u64;
-        Ok(n)
-    }
+/// How a [`read_messages`] loop ended.
+#[derive(Debug, Default)]
+pub(crate) struct StreamEnd {
+    /// Frames consumed (valid or corrupt, `Shutdown` included).
+    pub(crate) frames: u64,
+    /// True when the stream ended with `Shutdown` rather than EOF.
+    pub(crate) shutdown: bool,
+    /// The read error, or the error `on_frame` returned, that ended the
+    /// stream, at the byte offset of the frame it happened on.
+    pub(crate) fault: Option<StreamFault>,
+}
+
+/// The one loop reading client→server frames: [`ReportService::serve`]
+/// and the transport's connection threads both run it.
+///
+/// Reads frames until EOF, `Shutdown` or a read error, and hands
+/// `on_frame` the stream (so a caller can answer on it) plus one
+/// [`Inbound`] for every other frame. `on_frame` returns `Continue` to
+/// read on, `Break` to stop without a fault, or an error, which ends the
+/// stream as a fault at that frame's first byte. Offsets are summed from
+/// frame lengths, so the stream needs no byte-counting wrapper.
+pub(crate) fn read_messages<S: Read + ?Sized>(
+    stream: &mut S,
+    mut on_frame: impl FnMut(&mut S, Inbound) -> Result<ControlFlow<()>>,
+) -> StreamEnd {
+    let mut end = StreamEnd::default();
+    let mut payload = Vec::new();
+    // The first byte of the frame being read or handled.
+    let mut offset = 0u64;
+    let error = loop {
+        let read = match frame::read_frame(stream, &mut payload) {
+            Ok(Some(read)) => read,
+            Ok(None) => return end,
+            Err(error) => break error,
+        };
+        end.frames += 1;
+        let inbound = match read {
+            FrameRead::Corrupt { .. } => Inbound::Corrupt,
+            FrameRead::Valid { kind } => match WireMessage::decode(kind, &payload) {
+                Ok(WireMessage::Shutdown) => {
+                    end.shutdown = true;
+                    return end;
+                }
+                Ok(msg) => Inbound::Message(msg),
+                Err(_) => Inbound::Undecodable,
+            },
+        };
+        match on_frame(stream, inbound) {
+            Ok(ControlFlow::Continue(())) => offset += (FRAME_HEADER_BYTES + payload.len()) as u64,
+            Ok(ControlFlow::Break(())) => return end,
+            Err(error) => break error,
+        }
+    };
+    end.fault = Some(StreamFault { offset, error });
+    end
 }
 
 /// Decodes submit report bytes under the session, enforcing the exact
@@ -1500,12 +1484,12 @@ mod tests {
         ];
         for msg in &messages {
             let frame_bytes = msg.to_frame().unwrap();
-            let mut reader = frame_bytes.as_slice();
             let mut scratch = Vec::new();
-            let back = WireMessage::read_from(&mut reader, &mut scratch)
-                .unwrap()
-                .expect("one message in the stream");
-            assert_eq!(&back, msg);
+            let read = frame::read_frame(&mut frame_bytes.as_slice(), &mut scratch).unwrap();
+            let Some(FrameRead::Valid { kind }) = read else {
+                panic!("one valid frame in the stream, got {read:?}");
+            };
+            assert_eq!(&WireMessage::decode(kind, &scratch).unwrap(), msg);
         }
     }
 
@@ -1625,24 +1609,6 @@ mod tests {
         let summary = service.serve(&mut stream.as_slice()).unwrap();
         assert_eq!(summary.rejected_malformed, 2);
         assert_eq!(summary.admitted, 1);
-    }
-
-    #[test]
-    fn timer_tick_snapshots_fire_every_n_reports() {
-        let enc = encoder();
-        let mut stream = Vec::new();
-        hello().write_to(&mut stream).unwrap();
-        for user in 0..25 {
-            submit_for(&enc, user, 0).write_to(&mut stream).unwrap();
-        }
-        let mut service = ReportService::new(ServiceConfig {
-            snapshot_every: Some(10),
-            ..ServiceConfig::default()
-        });
-        let summary = service.serve(&mut stream.as_slice()).unwrap();
-        assert_eq!(summary.snapshots.len(), 2);
-        assert_eq!(summary.snapshots[0].admitted, 10);
-        assert_eq!(summary.snapshots[1].admitted, 20);
     }
 
     #[test]

@@ -526,4 +526,126 @@ mod tests {
         assert_eq!(server.stats().corrupt_frames(), 1);
         server.finish();
     }
+
+    /// `ReportService::serve` and `ConnHandle::serve_stream` run one read
+    /// loop; fed the same hostile bytes they must agree on everything but
+    /// the corrupt frame, which only the socket path can ask to resend.
+    #[test]
+    fn serve_and_serve_stream_agree_on_a_hostile_stream() {
+        use crate::service::{ReportService, KIND_SUBMIT};
+        use ldp_core::frame;
+
+        /// Reads a fixed byte stream, collects whatever is written back.
+        struct Loopback<'a> {
+            input: &'a [u8],
+            output: Vec<u8>,
+        }
+        impl std::io::Read for Loopback<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                self.input.read(buf)
+            }
+        }
+        impl Write for Loopback<'_> {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.output.write(buf)
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+
+        let submit = |user: u64| WireMessage::Submit {
+            user,
+            epoch: 0,
+            block: user % 3,
+            report: report_bytes(user),
+        };
+        let mut stream = Vec::new();
+        hello().write_to(&mut stream).unwrap();
+        for user in 0..12 {
+            submit(user).write_to(&mut stream).unwrap();
+        }
+        let mut corrupt = submit(12).to_frame().unwrap();
+        let last = corrupt.len() - 1;
+        corrupt[last] ^= 0x01;
+        stream.extend_from_slice(&corrupt);
+        frame::write_frame(&mut stream, KIND_SUBMIT, b"short").unwrap();
+        submit(5).write_to(&mut stream).unwrap();
+        WireMessage::FlushEpoch { epoch: 0 }
+            .write_to(&mut stream)
+            .unwrap();
+        let tail_start = stream.len() as u64;
+        let tail = submit(13).to_frame().unwrap();
+        stream.extend_from_slice(&tail[..tail.len() / 2]);
+
+        let mut direct = ReportService::new(ServiceConfig::default());
+        let served = direct.serve(&mut stream.as_slice()).unwrap();
+
+        let server = ReportServer::start(ServerConfig::default());
+        let mut wire = Loopback {
+            input: &stream,
+            output: Vec::new(),
+        };
+        let conn = server.handle().serve_stream(&mut wire);
+        let socketed = server.finish();
+
+        // Framing: the same frames consumed, the same typed fault at the
+        // tail's first byte.
+        assert_eq!(served.frames, 17);
+        assert_eq!(conn.frames, served.frames);
+        assert_eq!(conn.responded, conn.frames);
+        assert_eq!(conn.corrupt_frames, 1);
+        let fault = served.desync.clone().expect("truncated tail");
+        assert_eq!(fault.offset, tail_start);
+        assert!(matches!(fault.error, LdpError::MalformedFrame { .. }));
+        assert_eq!(conn.fault, served.desync);
+        assert!(!served.shutdown && !conn.shutdown);
+
+        // Admission: the same users, the duplicate rejected by both.
+        for user in 0..14 {
+            assert_eq!(
+                socketed.ledger().contains(user, 0),
+                direct.ledger().contains(user, 0),
+                "user {user}"
+            );
+        }
+        assert_eq!(served.admitted, 12);
+        assert_eq!(served.rejected_duplicates, 1);
+
+        // Estimates: the flushed snapshots agree bit for bit.
+        let flushed = &served.snapshots[0];
+        let snap = socketed.snapshot_epoch(0).unwrap();
+        assert_eq!(snap.admitted, flushed.admitted);
+        assert_eq!(snap.rejected_duplicates, flushed.rejected_duplicates);
+        let (a, b) = (flushed.result.as_ref().unwrap(), snap.result.unwrap());
+        assert_eq!(a.n, b.n);
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        assert_eq!(bits(a.mean_vector()), bits(b.mean_vector()));
+        for ((i, fa), (j, fb)) in a.frequencies.iter().zip(&b.frequencies) {
+            assert_eq!(i, j);
+            assert_eq!(bits(fa.clone()), bits(fb.clone()));
+        }
+
+        // Malformed counts differ by exactly the corrupt frames: lost (and
+        // counted) in-process, resent (and not counted) over the socket.
+        assert_eq!(served.rejected_malformed, 2);
+        assert_eq!(
+            direct.rejected_malformed() - socketed.rejected_malformed(),
+            conn.corrupt_frames
+        );
+        assert_eq!(
+            flushed.rejected_malformed - snap.rejected_malformed,
+            conn.corrupt_frames
+        );
+
+        // The socket path answered every frame, the corrupt one with a
+        // resend request.
+        let mut responses = wire.output.as_slice();
+        let mut scratch = Vec::new();
+        let mut resends = 0;
+        while let Some(resp) = ResponseMessage::read_from(&mut responses, &mut scratch).unwrap() {
+            resends += u64::from(resp == ResponseMessage::Resend);
+        }
+        assert_eq!(resends, conn.corrupt_frames);
+    }
 }

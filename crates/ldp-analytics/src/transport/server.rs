@@ -29,17 +29,17 @@
 
 use std::convert::Infallible;
 use std::io::{Read, Write};
+use std::ops::ControlFlow;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 
-use ldp_core::frame::{self, FrameRead, FRAME_HEADER_BYTES};
 use ldp_core::Result;
 
 use crate::durable::{self, DurableConfig, DurableService, RecoveryReport};
 use crate::service::{
-    AckOutcome, EpochSnapshot, ReportService, ResponseMessage, ServiceConfig, StreamFault,
-    WireMessage,
+    read_messages, AckOutcome, EpochSnapshot, Inbound, ReportService, ResponseMessage,
+    ServiceConfig, StreamFault, WireMessage,
 };
 
 /// Construction parameters for a [`ReportServer`].
@@ -212,8 +212,9 @@ impl Drop for InFlight<'_> {
 }
 
 impl ConnHandle {
-    /// Serves one client stream to completion: reads frames, applies
-    /// messages, writes one response frame per request, in order.
+    /// Serves one client stream to completion: reads frames with the loop
+    /// [`ReportService::serve`] runs, applies messages, and writes one
+    /// response frame per request, in order.
     ///
     /// Every exit path is accounted: clean EOF, client `Shutdown`, a
     /// transport fault (recorded in the summary, counted in the stats),
@@ -221,76 +222,47 @@ impl ConnHandle {
     pub fn serve_stream<S: Read + Write + ?Sized>(&self, stream: &mut S) -> ConnSummary {
         let stats = &self.shared.stats;
         stats.connections.fetch_add(1, Ordering::Relaxed);
-        let mut summary = ConnSummary::default();
-        let mut payload = Vec::new();
-        let mut offset = 0u64;
-        loop {
-            let frame_start = offset;
-            let read = match frame::read_frame(stream, &mut payload) {
-                Ok(read) => read,
-                Err(error) => {
-                    summary.fault = Some(StreamFault {
-                        offset: frame_start,
-                        error,
-                    });
-                    break;
-                }
-            };
-            let kind = match read {
-                None => break,
-                Some(FrameRead::Corrupt { .. }) => {
-                    offset += (FRAME_HEADER_BYTES + payload.len()) as u64;
-                    summary.frames += 1;
-                    summary.corrupt_frames += 1;
+        let mut corrupt_frames = 0;
+        let mut responded = 0;
+        let end = read_messages(stream, |stream, inbound| {
+            let response = match inbound {
+                Inbound::Corrupt => {
+                    corrupt_frames += 1;
                     stats.corrupt_frames.fetch_add(1, Ordering::Relaxed);
                     // Reader is still synchronized: ask for the frame
                     // again instead of dropping the connection.
-                    if let Err(error) = ResponseMessage::Resend.write_to(stream) {
-                        summary.fault = Some(StreamFault {
-                            offset: frame_start,
-                            error,
-                        });
-                        break;
-                    }
-                    summary.responded += 1;
-                    continue;
+                    Some(ResponseMessage::Resend)
                 }
-                Some(FrameRead::Valid { kind }) => kind,
-            };
-            offset += (FRAME_HEADER_BYTES + payload.len()) as u64;
-            summary.frames += 1;
-            let msg = match WireMessage::decode(kind, &payload) {
-                Ok(WireMessage::Shutdown) => {
-                    // Connection-scoped: this client is done, the server
-                    // and every other connection keep running.
-                    summary.shutdown = true;
-                    break;
-                }
-                Ok(msg) => Some(msg),
-                Err(_) => {
+                Inbound::Undecodable => {
                     stats.malformed_messages.fetch_add(1, Ordering::Relaxed);
-                    None
+                    self.apply(None)
                 }
+                Inbound::Message(msg) => self.apply(Some(&msg)),
             };
-            let Some(response) = self.apply(msg.as_ref()) else {
-                break;
+            let Some(response) = response else {
+                // A panicking connection poisoned the service lock.
+                return Ok(ControlFlow::Break(()));
             };
-            if let Err(error) = response.write_to(stream) {
-                // The verdict may already be applied server-side; the
-                // client will resend on reconnect and the ledger will
-                // answer `Duplicate` — at-most-once either way.
-                summary.fault = Some(StreamFault {
-                    offset: frame_start,
-                    error,
-                });
-                break;
-            }
-            summary.responded += 1;
-        }
-        if summary.fault.is_some() {
+            // A failed write ends the connection as a fault. The verdict
+            // may already be applied server-side; the client will resend
+            // on reconnect and the ledger will answer `Duplicate` —
+            // at-most-once either way.
+            response.write_to(stream)?;
+            responded += 1;
+            Ok(ControlFlow::Continue(()))
+        });
+        if end.fault.is_some() {
             stats.faulted_connections.fetch_add(1, Ordering::Relaxed);
         }
-        summary
+        ConnSummary {
+            frames: end.frames,
+            corrupt_frames,
+            responded,
+            // Connection-scoped: this client is done, the server and every
+            // other connection keep running.
+            shutdown: end.shutdown,
+            fault: end.fault,
+        }
     }
 
     /// Renders one message's verdict under the service lock, or sheds it.

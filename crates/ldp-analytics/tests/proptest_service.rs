@@ -200,9 +200,11 @@ proptest! {
         let mut stream = Vec::new();
         msg.write_to(&mut stream).unwrap();
         let mut scratch = Vec::new();
-        let decoded = WireMessage::read_from(&mut stream.as_slice(), &mut scratch)
-            .unwrap()
-            .expect("one frame on the stream");
+        let read = frame::read_frame(&mut stream.as_slice(), &mut scratch).unwrap();
+        let Some(frame::FrameRead::Valid { kind }) = read else {
+            panic!("one valid frame on the stream, got {read:?}");
+        };
+        let decoded = WireMessage::decode(kind, &scratch).unwrap();
         prop_assert_eq!(&decoded, &msg);
         let WireMessage::Submit { report: wire_bytes, .. } = decoded else { unreachable!() };
         let back = decode_report(protocol, &specs, &wire_bytes).unwrap();

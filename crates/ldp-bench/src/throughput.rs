@@ -51,6 +51,7 @@ use ldp_analytics::{
     BestEffortNumeric, ClientEncoder, Collector, FrequencyAccumulator, MeanAccumulator, Protocol,
     Report,
 };
+use ldp_core::frame::{self, FrameRead};
 use ldp_core::multidim::{CatReportView, SamplingPerturber, SparseReport};
 use ldp_core::rng::{sample_distinct, seeded_rng, DrawSource, RngBlock};
 use ldp_core::{
@@ -185,9 +186,10 @@ pub struct WireCell {
     pub decode_reports_per_sec: f64,
     /// Reports/sec through the full transport path one `Submit` takes:
     /// frame the message (length header + kind + FNV checksum), read it
-    /// back through `WireMessage::read_from` (checksum verify + decode),
-    /// then `decode_report` on the carried bytes — the per-report codec
-    /// cost of the socket transport with the socket itself factored out.
+    /// back through `read_frame` and `WireMessage::decode` (checksum
+    /// verify, then decode), then `decode_report` on the carried bytes —
+    /// the per-report codec cost of the socket transport with the socket
+    /// itself factored out.
     pub roundtrip_reports_per_sec: f64,
     /// Reports/sec through the durability path one admitted `Submit`
     /// takes: append every message to a fresh write-ahead log
@@ -991,12 +993,14 @@ fn run_wire(args: &Args) -> Vec<WireCell> {
                         for msg in &submits {
                             frame_buf.clear();
                             msg.write_to(&mut frame_buf).expect("vec write");
-                            let back = WireMessage::read_from(
-                                &mut frame_buf.as_slice(),
-                                &mut frame_scratch,
-                            )
-                            .expect("framed bytes")
-                            .expect("one message");
+                            let read =
+                                frame::read_frame(&mut frame_buf.as_slice(), &mut frame_scratch)
+                                    .expect("framed bytes");
+                            let Some(FrameRead::Valid { kind }) = read else {
+                                unreachable!("one valid frame in, one out");
+                            };
+                            let back =
+                                WireMessage::decode(kind, &frame_scratch).expect("one message");
                             let WireMessage::Submit { report, .. } = back else {
                                 unreachable!("submit in, submit out");
                             };
