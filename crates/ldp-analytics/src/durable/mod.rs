@@ -59,13 +59,10 @@ pub enum FsyncPolicy {
     /// `fsync` after every record: the ack-after-durable contract holds
     /// for each individual report. The safest and slowest policy.
     EveryRecord,
-    /// Group commit: `fsync` once per `n` appended records. A crash can
-    /// lose up to `n - 1` acked-but-unsynced records; throughput scales
-    /// accordingly. `EveryN(1)` behaves like [`FsyncPolicy::EveryRecord`].
-    EveryN(u64),
     /// `fsync` only at explicit flush boundaries (`FlushEpoch`,
-    /// `Shutdown`, [`DurableService::flush`]). Fastest; the durability
-    /// boundary is the flush, not the record.
+    /// `Shutdown`, [`DurableService::flush`]). Fastest, but it acks a
+    /// record before the record is durable: a crash can lose every record
+    /// acked since the last flush.
     OnFlush,
 }
 

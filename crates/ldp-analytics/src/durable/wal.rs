@@ -127,8 +127,9 @@ pub(crate) fn header_only_log(header: &WalHeader) -> Result<Vec<u8>> {
 /// The durability contract: [`WalWriter::create`] returns only after the
 /// header record is on stable storage, and [`WalWriter::append`] returns
 /// only after the record is as durable as the configured [`FsyncPolicy`]
-/// promises — `EveryRecord` means the ack that follows is backed by disk,
-/// `EveryN`/`OnFlush` trade that window for throughput (group commit).
+/// promises — `EveryRecord` means the ack that follows is backed by disk;
+/// `OnFlush` acks before the record is durable and syncs only at the next
+/// flush.
 #[derive(Debug)]
 pub struct WalWriter {
     file: File,
@@ -207,7 +208,6 @@ impl WalWriter {
         note(crash, CrashPoint::AfterAppend)?;
         let due = match self.policy {
             FsyncPolicy::EveryRecord => true,
-            FsyncPolicy::EveryN(n) => self.unsynced >= n.max(1),
             FsyncPolicy::OnFlush => false,
         };
         if due {

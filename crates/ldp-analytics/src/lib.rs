@@ -11,7 +11,8 @@
 //!   reports by 64-bit words, with the per-category scatter deferred to
 //!   amortized plane flushes.
 //! * [`session`] — the two-sided collection API: [`ClientEncoder`] turns
-//!   one user record into a serde-able [`Report`]; [`Aggregator`] consumes
+//!   one user record into a [`Report`] (wire codec:
+//!   [`service::encode_report`]); [`Aggregator`] consumes
 //!   reports incrementally, merges partial aggregates from other shards,
 //!   and yields [`CollectionResult`] snapshots at any point.
 //! * [`service`] — the wire boundary: a long-running [`ReportService`]

@@ -7,11 +7,13 @@
 //! that split, as API:
 //!
 //! * [`ClientEncoder`] — built from a [`Protocol`], an [`Epsilon`] and the
-//!   public schema; turns one user tuple into a serde-able [`Report`]
+//!   public schema; turns one user tuple into a [`Report`]
 //!   (Algorithm 4 sparse sampling, or the best-effort ε/d composition).
 //! * [`Report`] — the only thing that crosses the trust boundary: sampled
 //!   attribute indices plus numeric draws and categorical bits. Sized by
-//!   [`ldp_core::multidim::wire`], serialized by serde.
+//!   [`ldp_core::multidim::wire`] and encoded by the hand-written codecs
+//!   behind [`crate::service::encode_report`]
+//!   ([`wire::WireFormat::encode_sparse`], [`CompositionReport::encode_wire`]).
 //! * [`Aggregator`] — consumes reports incrementally ([`Aggregator::absorb`]),
 //!   merges partial aggregates from other shards or processes
 //!   ([`Aggregator::merge`]), and yields a [`CollectionResult`] snapshot at
@@ -47,7 +49,7 @@ use crate::frequency::FrequencyAccumulator;
 use crate::mean::MeanAccumulator;
 use crate::pipeline::{BestEffortNumeric, CollectionResult, Protocol};
 use ldp_core::multidim::{
-    optimal_k, wire, CatObservation, CatReportView, DuchiMultidim, DuchiScratch, SamplingPerturber,
+    wire, CatObservation, CatReportView, DuchiMultidim, DuchiScratch, SamplingPerturber,
     SparseReport, SparseScratch,
 };
 use ldp_core::rng::DrawSource;
@@ -61,10 +63,13 @@ use std::collections::BTreeMap;
 /// The perturbed message one user submits for one record — the only data
 /// that crosses the client→server trust boundary.
 ///
-/// Serde-able and compact: numeric entries are single `f64` draws,
-/// categorical entries are oracle bits (a `⌈log₂ k⌉`-bit value for GRR, a
-/// `k`-bit vector for OUE/SUE). [`ldp_core::multidim::wire`] provides the
-/// bit-level codec and size accounting for the sampling variant.
+/// Compact: numeric entries are single `f64` draws, categorical entries
+/// are oracle bits (a `⌈log₂ k⌉`-bit value for GRR, a `k`-bit vector for
+/// OUE/SUE). On the wire it travels through
+/// [`crate::service::encode_report`], which dispatches to
+/// [`wire::WireFormat::encode_sparse`] or
+/// [`CompositionReport::encode_wire`]; [`ldp_core::multidim::wire`] also
+/// does the size accounting.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Report {
     /// An Algorithm 4 report: `k` sampled attributes, each carrying an
@@ -229,24 +234,10 @@ fn expected_hits(k: u32, debias: DebiasParams) -> f64 {
     debias.p + f64::from(k - 1) * debias.q
 }
 
-/// Per-slot engine routing: direct (GRR) oracles always take the
-/// word-level engine — their fast path is the ordinal kernel, with no bit
-/// vector in sight, so the density cutoff is meaningless for them — while
-/// unary oracles take it only when dense enough
-/// ([`WORD_LEVEL_MIN_HITS`]).
-fn word_level_routing(cats: &[(u32, DebiasParams)], direct: &[bool]) -> Vec<bool> {
-    cats.iter()
-        .zip(direct)
-        .map(|(&(k, debias), &is_direct)| {
-            is_direct || expected_hits(k, debias) >= WORD_LEVEL_MIN_HITS
-        })
-        .collect()
-}
-
 impl Shape {
-    /// Derives the shape from an already-built engine — the cheap path
-    /// [`ClientEncoder`] uses, reading each oracle's `(k, p, q)` off the
-    /// engine instead of constructing throwaway oracles.
+    /// Derives the shape from a built engine, reading each oracle's
+    /// `(k, p, q)` off the engine — so the aggregator's debiasing uses the
+    /// client's oracles themselves, never a re-derivation.
     fn from_engine(specs: &[AttrSpec], engine: &Engine) -> Shape {
         let d = specs.len();
         let mut num_indices = Vec::new();
@@ -261,34 +252,29 @@ impl Shape {
                 }
             }
         }
-        let (scale, sampled_k, cats, direct): (f64, usize, Vec<(u32, DebiasParams)>, Vec<bool>) =
-            match engine {
-                Engine::Sampling(p) => {
-                    let cats = cat_indices
-                        .iter()
-                        .map(|&j| {
-                            let o = p.any_oracle(j).expect("categorical slot");
-                            (o.k(), o.debias_params())
-                        })
-                        .collect();
-                    let direct = cat_indices
-                        .iter()
-                        .map(|&j| {
-                            p.any_oracle(j)
-                                .expect("categorical slot")
-                                .as_grr()
-                                .is_some()
-                        })
-                        .collect();
-                    (p.scale(), p.k(), cats, direct)
-                }
-                Engine::Composition { oracles, .. } => {
-                    let cats = oracles.iter().map(|o| (o.k(), o.debias_params())).collect();
-                    let direct = oracles.iter().map(|o| o.as_grr().is_some()).collect();
-                    (1.0, d, cats, direct)
-                }
-            };
-        let word_level = word_level_routing(&cats, &direct);
+        let (scale, sampled_k, oracles): (f64, usize, Vec<&AnyOracle>) = match engine {
+            Engine::Sampling(p) => {
+                let oracles = cat_indices
+                    .iter()
+                    .map(|&j| p.any_oracle(j).expect("categorical slot"))
+                    .collect();
+                (p.scale(), p.k(), oracles)
+            }
+            Engine::Composition { oracles, .. } => (1.0, d, oracles.iter().collect()),
+        };
+        let cats: Vec<(u32, DebiasParams)> =
+            oracles.iter().map(|o| (o.k(), o.debias_params())).collect();
+        // Direct (GRR) oracles always take the word-level engine — their
+        // fast path is the ordinal kernel, with no bit vector in sight, so
+        // the density cutoff is meaningless for them — while unary oracles
+        // take it only when dense enough.
+        let word_level: Vec<bool> = oracles
+            .iter()
+            .zip(&cats)
+            .map(|(o, &(k, debias))| {
+                o.as_grr().is_some() || expected_hits(k, debias) >= WORD_LEVEL_MIN_HITS
+            })
+            .collect();
         Shape {
             d,
             num_indices,
@@ -300,55 +286,6 @@ impl Shape {
             cats,
             sampled_k,
         }
-    }
-
-    fn new(protocol: Protocol, epsilon: Epsilon, specs: &[AttrSpec]) -> Result<Self> {
-        let d = specs.len();
-        if d == 0 {
-            return Err(LdpError::InvalidParameter {
-                name: "specs",
-                message: "schema must contain at least one attribute".into(),
-            });
-        }
-        let (sampled_k, scale, oracle_kind) = match protocol {
-            Protocol::Sampling { oracle, .. } => {
-                let k = optimal_k(epsilon, d);
-                (k, d as f64 / k as f64, oracle)
-            }
-            Protocol::BestEffort { oracle, .. } => (d, 1.0, oracle),
-        };
-        let per_attr = epsilon.split(sampled_k)?;
-        let mut num_indices = Vec::new();
-        let mut cat_indices = Vec::new();
-        let mut slot_of = vec![None; d];
-        let mut cats = Vec::new();
-        for (j, spec) in specs.iter().enumerate() {
-            match spec {
-                AttrSpec::Numeric => num_indices.push(j),
-                AttrSpec::Categorical { k } => {
-                    slot_of[j] = Some(cat_indices.len());
-                    cat_indices.push(j);
-                    // Built through the same constructor as the client's
-                    // oracle, so the (p, q) pair is identical by
-                    // construction, never by re-derivation.
-                    let oracle = AnyOracle::build(oracle_kind, per_attr, *k)?;
-                    cats.push((*k, oracle.debias_params()));
-                }
-            }
-        }
-        let direct = vec![matches!(oracle_kind, ldp_core::OracleKind::Grr); cats.len()];
-        let word_level = word_level_routing(&cats, &direct);
-        Ok(Shape {
-            d,
-            num_indices,
-            cat_indices,
-            slot_of,
-            scale,
-            any_word_level: word_level.iter().any(|&b| b),
-            word_level,
-            cats,
-            sampled_k,
-        })
     }
 }
 
@@ -372,6 +309,55 @@ enum CompositionNumeric {
     Duchi(DuchiMultidim),
 }
 
+impl CompositionNumeric {
+    /// Perturbs the numeric attributes (`num_indices`) of a validated
+    /// `tuple` and hands each noisy draw to `emit` with its attribute
+    /// index, in schema order. The single draw sequence behind both
+    /// [`ClientEncoder::encode_into`] and [`Aggregator::absorb_with`].
+    fn perturb<R: DrawSource + ?Sized>(
+        &self,
+        tuple: &[AttrValue],
+        num_indices: &[usize],
+        rng: &mut R,
+        duchi: &mut Option<DuchiBuffers>,
+        mut emit: impl FnMut(usize, f64),
+    ) -> Result<()> {
+        let value = |j: usize| {
+            let AttrValue::Numeric(x) = tuple[j] else {
+                unreachable!("tuple validated against the schema");
+            };
+            x
+        };
+        match self {
+            CompositionNumeric::None => {}
+            CompositionNumeric::PerAttr(mech) => {
+                for &j in num_indices {
+                    emit(j, mech.perturb(value(j), &mut *rng)?);
+                }
+            }
+            CompositionNumeric::Duchi(md) => {
+                let buf = duchi.as_mut().expect("built with Duchi state");
+                for (slot, &j) in num_indices.iter().enumerate() {
+                    buf.input[slot] = value(j);
+                }
+                md.perturb_into(&buf.input, &mut *rng, &mut buf.noisy, &mut buf.scratch)?;
+                for (&j, &x) in num_indices.iter().zip(&buf.noisy) {
+                    emit(j, x);
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Per-user buffers of the Duchi numeric block: the gathered inputs, the
+/// noisy output and the mechanism's own scratch.
+struct DuchiBuffers {
+    input: Vec<f64>,
+    noisy: Vec<f64>,
+    scratch: DuchiScratch,
+}
+
 /// Caller-owned scratch buffers for the zero-allocation encoding loop
 /// ([`ClientEncoder::encode_into`] / [`Aggregator::absorb_with`]). Must stay
 /// paired with the encoder that built it.
@@ -388,9 +374,7 @@ enum ScratchInner {
     },
     Composition {
         dense: Vec<f64>,
-        numeric_block: Vec<f64>,
-        noisy: Vec<f64>,
-        duchi: Option<DuchiScratch>,
+        duchi: Option<DuchiBuffers>,
         /// Recycled categorical payloads for the fused path.
         cat_reports: Vec<CategoricalReport>,
     },
@@ -543,10 +527,12 @@ impl ClientEncoder {
             },
             Engine::Composition { numeric, .. } => ScratchInner::Composition {
                 dense: vec![0.0; self.shape.d],
-                numeric_block: vec![0.0; self.shape.num_indices.len()],
-                noisy: Vec::with_capacity(self.shape.num_indices.len()),
                 duchi: match numeric {
-                    CompositionNumeric::Duchi(md) => Some(md.scratch()),
+                    CompositionNumeric::Duchi(md) => Some(DuchiBuffers {
+                        input: vec![0.0; md.d()],
+                        noisy: Vec::with_capacity(md.d()),
+                        scratch: md.scratch(),
+                    }),
                     _ => None,
                 },
                 cat_reports: self
@@ -622,46 +608,16 @@ impl ClientEncoder {
                 if !matches!(report, Report::Composition(_)) {
                     *report = self.empty_report();
                 }
-                let (
-                    Report::Composition(out),
-                    ScratchInner::Composition {
-                        numeric_block,
-                        noisy,
-                        duchi,
-                        ..
-                    },
-                ) = (&mut *report, &mut scratch.inner)
+                let (Report::Composition(out), ScratchInner::Composition { duchi, .. }) =
+                    (&mut *report, &mut scratch.inner)
                 else {
                     return Err(scratch_mismatch());
                 };
                 self.validate(tuple)?;
                 out.numeric.clear();
-                match numeric {
-                    CompositionNumeric::None => {}
-                    CompositionNumeric::PerAttr(mech) => {
-                        for &j in &self.shape.num_indices {
-                            let AttrValue::Numeric(x) = tuple[j] else {
-                                unreachable!("validated above");
-                            };
-                            out.numeric.push(mech.perturb(x, &mut *rng)?);
-                        }
-                    }
-                    CompositionNumeric::Duchi(md) => {
-                        for (slot, &j) in self.shape.num_indices.iter().enumerate() {
-                            let AttrValue::Numeric(x) = tuple[j] else {
-                                unreachable!("validated above");
-                            };
-                            numeric_block[slot] = x;
-                        }
-                        md.perturb_into(
-                            numeric_block,
-                            &mut *rng,
-                            noisy,
-                            duchi.as_mut().expect("built with Duchi state"),
-                        )?;
-                        out.numeric.extend_from_slice(noisy);
-                    }
-                }
+                numeric.perturb(tuple, &self.shape.num_indices, rng, duchi, |_, x| {
+                    out.numeric.push(x)
+                })?;
                 if out.categorical.len() != self.shape.cat_indices.len() {
                     out.categorical.clear();
                     out.categorical
@@ -792,22 +748,15 @@ pub struct Aggregator {
 }
 
 impl Aggregator {
-    /// Builds an aggregator from the same public knowledge clients hold.
+    /// Builds an aggregator from the same public knowledge clients hold:
+    /// shorthand for [`ClientEncoder::new`] followed by
+    /// [`ClientEncoder::aggregator`], so both sides derive their shape from
+    /// the very same oracles.
     ///
     /// # Errors
     /// Rejects empty schemas and invalid categorical domains.
     pub fn new(protocol: Protocol, epsilon: Epsilon, specs: Vec<AttrSpec>) -> Result<Self> {
-        let shape = Shape::new(protocol, epsilon, &specs)?;
-        let dense = vec![0.0; shape.d];
-        Ok(Aggregator {
-            protocol,
-            epsilon,
-            specs,
-            shape,
-            ordinal: 0,
-            parts: BTreeMap::new(),
-            dense,
-        })
+        ClientEncoder::new(protocol, epsilon, specs)?.aggregator()
     }
 
     /// Sets this aggregator's ordinal — its partial's position in the
@@ -1107,8 +1056,6 @@ impl Aggregator {
             Engine::Composition { numeric, oracles } => {
                 let ScratchInner::Composition {
                     dense,
-                    numeric_block,
-                    noisy,
                     duchi,
                     cat_reports,
                 } = &mut scratch.inner
@@ -1122,34 +1069,7 @@ impl Aggregator {
                     .entry(self.ordinal)
                     .or_insert_with(|| Partial::new(shape));
                 dense.iter_mut().for_each(|x| *x = 0.0);
-                match numeric {
-                    CompositionNumeric::None => {}
-                    CompositionNumeric::PerAttr(mech) => {
-                        for &j in &shape.num_indices {
-                            let AttrValue::Numeric(x) = tuple[j] else {
-                                unreachable!("validated above");
-                            };
-                            dense[j] = mech.perturb(x, &mut *rng)?;
-                        }
-                    }
-                    CompositionNumeric::Duchi(md) => {
-                        for (slot, &j) in shape.num_indices.iter().enumerate() {
-                            let AttrValue::Numeric(x) = tuple[j] else {
-                                unreachable!("validated above");
-                            };
-                            numeric_block[slot] = x;
-                        }
-                        md.perturb_into(
-                            numeric_block,
-                            &mut *rng,
-                            noisy,
-                            duchi.as_mut().expect("built with Duchi state"),
-                        )?;
-                        for (slot, &j) in shape.num_indices.iter().enumerate() {
-                            dense[j] = noisy[slot];
-                        }
-                    }
-                }
+                numeric.perturb(tuple, &shape.num_indices, rng, duchi, |j, x| dense[j] = x)?;
                 for (slot, &j) in shape.cat_indices.iter().enumerate() {
                     let AttrValue::Categorical(v) = tuple[j] else {
                         unreachable!("validated above");
@@ -1659,5 +1579,133 @@ mod tests {
         assert!(agg.snapshot().is_err());
         assert_eq!(agg.users(), 0);
         assert_eq!(agg.partials(), 0);
+    }
+
+    #[test]
+    fn encoder_rejects_malformed_tuples_on_both_paths() {
+        // Every engine validates the whole tuple before its first draw, so
+        // a rejected tuple neither reaches the aggregate nor moves the rng:
+        // the aggregator ends bit-identical to a twin that only ever saw
+        // the valid tuples.
+        let with = |j: usize, v: AttrValue| {
+            let mut t = mixed_tuple(0);
+            t[j] = v;
+            t
+        };
+        let malformed = [
+            ("wrong arity", mixed_tuple(0)[..3].to_vec()),
+            ("type mismatch", with(0, AttrValue::Categorical(0))),
+            ("category >= k", with(3, AttrValue::Categorical(3))),
+            ("numeric outside [-1, 1]", with(2, AttrValue::Numeric(1.5))),
+        ];
+        let protocols = [
+            PROTOCOLS[0],
+            Protocol::BestEffort {
+                numeric: BestEffortNumeric::PerAttribute(NumericKind::Laplace),
+                oracle: OracleKind::Grr,
+            },
+            Protocol::BestEffort {
+                numeric: BestEffortNumeric::DuchiMultidim,
+                oracle: OracleKind::Oue,
+            },
+        ];
+        for protocol in protocols {
+            let encoder = ClientEncoder::new(protocol, eps(2.0), mixed_specs()).unwrap();
+            let (mut rng, mut twin_rng) = (seeded_rng(29), seeded_rng(29));
+            let mut agg = encoder.aggregator().unwrap();
+            let mut twin = encoder.aggregator().unwrap();
+            let mut scratch = encoder.scratch();
+            for i in 0..50 {
+                let tuple = mixed_tuple(i);
+                agg.absorb_with(&encoder, &tuple, &mut rng, &mut scratch)
+                    .unwrap();
+                twin.absorb_with(&encoder, &tuple, &mut twin_rng, &mut scratch)
+                    .unwrap();
+                for (what, bad) in &malformed {
+                    assert!(
+                        encoder.encode(bad, &mut rng).is_err(),
+                        "{protocol:?} encode accepted {what}"
+                    );
+                    assert!(
+                        agg.absorb_with(&encoder, bad, &mut rng, &mut scratch)
+                            .is_err(),
+                        "{protocol:?} absorb_with accepted {what}"
+                    );
+                    assert_eq!(agg.users(), i + 1, "{protocol:?} {what}");
+                }
+            }
+            let (a, b) = (agg.snapshot().unwrap(), twin.snapshot().unwrap());
+            assert_eq!(a.mean_vector(), b.mean_vector(), "{protocol:?}");
+            assert_eq!(a.frequencies, b.frequencies, "{protocol:?}");
+        }
+    }
+
+    #[test]
+    fn composition_splits_budget_evenly() {
+        // d = 4 with two numeric attributes at ε = 4: every oracle and the
+        // per-attribute numeric mechanism run at ε/d = 1, Duchi's joint
+        // numeric block at ε·d_num/d = 2, and the aggregator debiases with
+        // the (p, q) of an oracle built independently at ε/d.
+        for (numeric, oracle) in [
+            (
+                BestEffortNumeric::PerAttribute(NumericKind::Laplace),
+                OracleKind::Oue,
+            ),
+            (BestEffortNumeric::DuchiMultidim, OracleKind::Grr),
+        ] {
+            let protocol = Protocol::BestEffort { numeric, oracle };
+            let encoder = ClientEncoder::new(protocol, eps(4.0), mixed_specs()).unwrap();
+            let Engine::Composition { numeric, oracles } = &encoder.engine else {
+                unreachable!("best-effort protocol");
+            };
+            assert_eq!(oracles.len(), 2);
+            for o in oracles {
+                assert_eq!(o.as_dyn().epsilon().value(), 1.0);
+            }
+            match numeric {
+                CompositionNumeric::PerAttr(mech) => assert_eq!(mech.epsilon().value(), 1.0),
+                CompositionNumeric::Duchi(md) => {
+                    assert_eq!((md.epsilon().value(), md.d()), (2.0, 2));
+                }
+                CompositionNumeric::None => panic!("schema has numeric attributes"),
+            }
+            assert_eq!(encoder.sampled_k(), 4);
+            let agg = Aggregator::new(protocol, eps(4.0), mixed_specs()).unwrap();
+            assert_eq!(agg.shape.scale, 1.0);
+            for &(k, params) in &agg.shape.cats {
+                let reference = AnyOracle::build(oracle, eps(1.0), k).unwrap();
+                assert_eq!(params, reference.debias_params(), "{protocol:?} k={k}");
+            }
+        }
+    }
+
+    #[test]
+    fn composition_means_are_unbiased_under_splitting() {
+        let d = 4;
+        let e = eps(4.0);
+        let encoder = ClientEncoder::new(
+            Protocol::BestEffort {
+                numeric: BestEffortNumeric::PerAttribute(NumericKind::Piecewise),
+                oracle: OracleKind::Oue,
+            },
+            e,
+            vec![AttrSpec::Numeric; d],
+        )
+        .unwrap();
+        let t = [0.5, -0.5, 0.0, 0.9];
+        let tuple: Vec<AttrValue> = t.iter().map(|&x| AttrValue::Numeric(x)).collect();
+        let mut agg = encoder.aggregator().unwrap();
+        let mut scratch = encoder.scratch();
+        let mut rng = seeded_rng(140);
+        let n = 50_000;
+        for _ in 0..n {
+            agg.absorb_with(&encoder, &tuple, &mut rng, &mut scratch)
+                .unwrap();
+        }
+        let means = agg.snapshot().unwrap().mean_vector();
+        let per_attr = AnyNumeric::build(NumericKind::Piecewise, e.split(d).unwrap());
+        for j in 0..d {
+            ldp_core::assert_within_ci!(means[j], t[j], per_attr.variance(t[j]), n, "attr {j}");
+        }
     }
 }

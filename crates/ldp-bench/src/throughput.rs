@@ -718,9 +718,9 @@ fn run_composition_batched(state: &CompositionState, w: &Workload, seed: u64) ->
 /// increment, with no report object anywhere — and for unary oracles the
 /// finished bit vector absorbed whole-word into the accumulator's plane.
 /// Bit-identical output to [`run_composition_fast`] under the same seed
-/// (asserted per cell); the library form of this kernel is
-/// [`ldp_core::multidim::CompositionPerturber::perturb_wordwise`], pinned equivalent by
-/// `ldp-core`'s tests.
+/// (asserted per cell). This kernel draws in schema order; the library's
+/// `BestEffort` branch of [`ldp_analytics::Aggregator::absorb_with`] draws
+/// the numeric block first, so the two share routing but not draws.
 fn run_composition_wordhist(state: &CompositionState, w: &Workload, seed: u64) -> Vec<Vec<f64>> {
     let mut rng: RngBlock<rand::rngs::StdRng> = RngBlock::new(seeded_rng(seed));
     let mut freqs: Vec<FrequencyAccumulator> = state

@@ -24,7 +24,9 @@
 //!   `k = max(1, min(d, ⌊ε/2.5⌋))` attributes, spend `ε/k` on each, scale by
 //!   `d/k`. Handles mixed numeric/categorical schemas (§IV-C).
 //! * [`multidim::DuchiMultidim`] — Duchi et al.'s Algorithm 3 baseline.
-//! * [`multidim::CompositionPerturber`] — the naive ε/d splitting baseline.
+//!
+//! The naive ε/d splitting baseline composes the 1-D mechanisms and oracles
+//! below; `ldp_analytics::ClientEncoder` runs it as `Protocol::BestEffort`.
 //!
 //! ## Categorical attributes
 //!

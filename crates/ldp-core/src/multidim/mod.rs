@@ -4,15 +4,15 @@
 //!   state of the art for multiple *numeric* attributes.
 //! * [`SamplingPerturber`] — the paper's Algorithm 4 and its §IV-C extension
 //!   to tuples mixing numeric and categorical attributes.
-//! * [`CompositionPerturber`] — the budget-splitting baseline (ε/d per
-//!   attribute) that §IV's introduction shows is sub-optimal.
+//!
+//! The budget-splitting baseline (ε/d per attribute) that §IV's
+//! introduction shows is sub-optimal is built from the 1-D mechanisms and
+//! oracles by `ldp_analytics::ClientEncoder` under `Protocol::BestEffort`.
 
-mod composition;
 mod duchi_md;
 mod sampling;
 pub mod wire;
 
-pub use composition::{CompositionPerturber, CompositionScratch, DenseReport};
 pub use duchi_md::{DuchiMultidim, DuchiScratch};
 pub use sampling::{optimal_k, CatObservation, SamplingPerturber, SparseReport, SparseScratch};
 
@@ -73,8 +73,7 @@ impl AttrValue {
 }
 
 /// One complete categorical sub-report as streamed by the word-level fused
-/// engines ([`SamplingPerturber::perturb_wordwise`] /
-/// [`CompositionPerturber::perturb_wordwise`]).
+/// engine ([`SamplingPerturber::perturb_wordwise`]).
 ///
 /// Where [`CatObservation`] streams unary reports one *set bit* at a time
 /// (the PR 3 per-hit engine), this view hands the aggregator the finished
